@@ -51,6 +51,10 @@ void FanoutPoint(Runner& runner, const AblationData& data) {
   FitingTreeConfig config;
   config.error = 256.0;
   config.buffer_size = 0;
+  // The sweep varies the B+ tree's node slots, so the B+ tree must be the
+  // directory that descends and is sized (the default flat directory has
+  // no fanout).
+  config.directory = DirectoryMode::kBTree;
   auto tree = FitingTree<int64_t, kSlots, kSlots>::Create(*data.keys, config);
   const Stats stats = MeasureLookups(runner, *tree, *data.probes);
   runner.Report(

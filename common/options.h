@@ -23,6 +23,12 @@
 //                         that triggers incremental compaction;
 //                         0 disables the automatic trigger      (0)
 //
+// An enumerated knob (FITREE_SEARCH_POLICY, FITREE_DIRECTORY,
+// FITREE_IO_BACKEND, FITREE_FETCH_STRATEGY) set to a value outside its
+// list is a configuration error: the process names the variable, the value
+// and the accepted values on stderr and exits with status 2, instead of
+// silently running the default.
+//
 // Bench-harness knobs (FITREE_BENCH_*) stay in bench/ — they size
 // workloads, not the engines.
 
@@ -31,7 +37,10 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <optional>
+#include <string>
 #include <string_view>
 
 #include "common/env.h"
@@ -84,6 +93,21 @@ inline constexpr const char* FetchStrategyName(FetchStrategy f) {
   return "?";
 }
 
+// Resolves enumerated knob `name` (default `def`) through `parse`; an
+// unknown value is fatal (exit status 2), see the header comment.
+template <typename Parse>
+auto ParseEnumKnob(const char* name, const char* def, const char* accepted,
+                   Parse parse) {
+  const std::string value = GetEnvString(name, def);
+  const auto parsed = parse(value);
+  if (!parsed.has_value()) {
+    std::fprintf(stderr, "fitree: %s=%s is not a valid value; accepted: %s\n",
+                 name, value.c_str(), accepted);
+    std::exit(2);
+  }
+  return *parsed;
+}
+
 struct Options {
   SearchPolicy search_policy = SearchPolicy::kSimd;
   DirectoryMode directory = DirectoryMode::kFlat;
@@ -100,13 +124,14 @@ struct Options {
   size_t compact_threshold_pct = 0;  // 0 = no automatic incremental compact
 
   // Reads every knob from the environment, applying defaults and clamps.
+  // Exits with status 2 on an unknown enumerated value.
   static Options FromEnvironment() {
     Options o;
     o.search_policy =
-        ParseSearchPolicy(GetEnvString("FITREE_SEARCH_POLICY", "simd"))
-            .value_or(SearchPolicy::kSimd);
-    o.directory = ParseDirectoryMode(GetEnvString("FITREE_DIRECTORY", "flat"))
-                      .value_or(DirectoryMode::kFlat);
+        ParseEnumKnob("FITREE_SEARCH_POLICY", "simd",
+                      "binary linear exponential simd", ParseSearchPolicy);
+    o.directory = ParseEnumKnob("FITREE_DIRECTORY", "flat", "btree flat",
+                                ParseDirectoryMode);
     const int64_t sample = GetEnvInt64("FITREE_TELEM_SAMPLE", 64);
     o.telemetry_sample = sample < 1 ? 1u : static_cast<uint64_t>(sample);
     o.trace = GetEnvInt64("FITREE_TRACE", 0) != 0;
@@ -117,15 +142,14 @@ struct Options {
     o.shards = shards < 1 ? 1u : static_cast<size_t>(shards);
     const int64_t batch = GetEnvInt64("FITREE_BATCH", 32);
     o.batch = batch < 1 ? 1u : static_cast<size_t>(batch);
-    o.io_backend = ParseIoBackend(GetEnvString("FITREE_IO_BACKEND", "auto"))
-                       .value_or(IoBackend::kAuto);
+    o.io_backend = ParseEnumKnob("FITREE_IO_BACKEND", "auto",
+                                 "auto uring threads sync", ParseIoBackend);
     const int64_t depth = GetEnvInt64("FITREE_IO_DEPTH", 64);
     o.io_depth = depth < 1 ? 1u
                            : depth > 1024 ? 1024u : static_cast<size_t>(depth);
     o.io_direct = GetEnvInt64("FITREE_IO_DIRECT", 0) != 0;
-    o.fetch_strategy =
-        ParseFetchStrategy(GetEnvString("FITREE_FETCH_STRATEGY", "single"))
-            .value_or(FetchStrategy::kSingle);
+    o.fetch_strategy = ParseEnumKnob(
+        "FITREE_FETCH_STRATEGY", "single", "single window", ParseFetchStrategy);
     const int64_t compact = GetEnvInt64("FITREE_COMPACT_THRESHOLD", 0);
     o.compact_threshold_pct =
         compact < 0 ? 0u

@@ -113,8 +113,9 @@ class DiskFitingTree {
     // flat unless overridden).
     SearchPolicy search_policy = DefaultSearchPolicy();
     DirectoryMode directory = DefaultDirectoryMode();
-    // Speculative fetch: kWindow stages every page the error window spans
-    // in one batched read before searching; kSingle faults serially
+    // Speculative fetch: kWindow stages the error window's non-resident
+    // pages in one batched read before searching; kSingle faults only the
+    // pages the walk from the predicted leaf reaches, serially
     // (FITREE_FETCH_STRATEGY; the exp_disk ablation sweeps both).
     FetchStrategy fetch_strategy = GlobalOptions().fetch_strategy;
     // Incremental compaction trigger, percent of segment length; a
@@ -205,9 +206,10 @@ class DiskFitingTree {
 
   // Rank of the first key >= `key` in the BASE FILE (insertion point over
   // the paged keys; the delta overlay has no ranks until a compaction
-  // folds it in). Every candidate page is faulted through the buffer pool.
+  // folds it in). Pages are faulted through the buffer pool, starting at
+  // the predicted leaf (see WindowLowerBound).
   size_t LowerBound(const K& key) const {
-    return LowerBoundAt(FloorSlot(key), key);
+    return SearchAt(FloorSlot(key), key).rank;
   }
 
   // Payload stored for `key`, or nullopt when absent. The delta overlay
@@ -371,12 +373,11 @@ class DiskFitingTree {
         io_error_ = true;
         return emitted;
       }
-      const size_t page_end =
-          std::min(SegEnd(rec), SegStart(rec) + (leaf + 1) * cap);
+      const size_t page_first = SegStart(rec) + leaf * cap;
+      const size_t page_end = std::min(SegEnd(rec), page_first + cap);
       for (; rank < page_end; ++rank) {
-        const auto entry = LoadAs<LeafEntry<K>>(
-            pin.data() + kPageHeaderBytes +
-            ((rank - SegStart(rec)) % cap) * sizeof(LeafEntry<K>));
+        const auto entry =
+            LoadAs<LeafEntry<K>>(EntryIn(pin.data(), page_first, rank));
         if (hi < entry.key) {
           return emitted + DrainDelta(&cursor, entry.key, hi, fn);
         }
@@ -830,6 +831,34 @@ class DiskFitingTree {
         (rank - SegStart(rec)) / reader_.meta().leaf_capacity);
   }
 
+  // Entry at base rank `rank` in the pinned leaf page whose first entry is
+  // base rank `page_first`.
+  static const std::byte* EntryIn(const std::byte* page, size_t page_first,
+                                  size_t rank) {
+    return page + kPageHeaderBytes + (rank - page_first) * sizeof(LeafEntry<K>);
+  }
+
+  // A lookup's error window [begin, end) over base ranks, and the rank it
+  // reads first: the model's prediction clamped into the window (`begin`
+  // when the window is empty). The search, the prefetch hint and the batch
+  // staging all start from this rank, so the page a batch stages under
+  // kSingle is the page the search faults first.
+  struct Probe {
+    size_t begin;
+    size_t end;
+    size_t start;
+  };
+
+  Probe ProbeFor(const SegmentRecord<K>& rec, const K& key) const {
+    const double pred = rec.seg.Predict(key);
+    const auto [begin, end] = fitree::ErrorWindow(
+        pred, reader_.meta().error, SegStart(rec), SegEnd(rec));
+    const size_t start = begin >= end || pred <= static_cast<double>(begin)
+                             ? begin
+                             : std::min(end - 1, static_cast<size_t>(pred));
+    return {begin, end, start};
+  }
+
   // Overlay segment for `key`: its directory floor, else segment 0 (keys
   // below every first key, and the whole keyspace of an empty base file).
   size_t DeltaSlot(const K& key) const {
@@ -869,42 +898,30 @@ class DiskFitingTree {
   void PrefetchPredictedFrame(size_t floor, const K& key) const {
     if (floor == kNoSlot || base_size() == 0) return;
     const SegmentRecord<K>& rec = segments_[floor];
-    const size_t seg_start = SegStart(rec);
-    const size_t seg_end = SegEnd(rec);
-    const double pred = rec.seg.Predict(key);
-    const size_t rank =
-        pred <= static_cast<double>(seg_start)
-            ? seg_start
-            : std::min(seg_end - 1, static_cast<size_t>(pred));
-    const size_t cap = reader_.meta().leaf_capacity;
-    if (const std::byte* frame = pool_->Peek(PageForRank(rec, rank))) {
-      PrefetchRead(frame + kPageHeaderBytes +
-                   ((rank - seg_start) % cap) * sizeof(LeafEntry<K>));
+    const Probe probe = ProbeFor(rec, key);
+    if (probe.begin >= probe.end) return;
+    if (const std::byte* frame = pool_->Peek(PageForRank(rec, probe.start))) {
+      const size_t in_page =
+          (probe.start - SegStart(rec)) % reader_.meta().leaf_capacity;
+      PrefetchRead(EntryIn(frame, probe.start - in_page, probe.start));
     }
   }
 
   // Appends the candidate page ids a Lookup(key) would fault: the whole
-  // error window under kWindow, just the clamped predicted page under
-  // kSingle.
+  // error window under kWindow, just the predicted page under kSingle.
   void AppendLookupPages(const K& key, std::vector<uint32_t>* ids) const {
     const size_t floor = FloorSlot(key);
     if (floor == kNoSlot) return;
     const SegmentRecord<K>& rec = segments_[floor];
-    const size_t seg_start = SegStart(rec);
-    const auto [begin, end] = fitree::ErrorWindow(
-        rec.seg.Predict(key), reader_.meta().error, seg_start, SegEnd(rec));
-    if (begin >= end) return;
+    const Probe probe = ProbeFor(rec, key);
+    if (probe.begin >= probe.end) return;
     if (options_.fetch_strategy == FetchStrategy::kWindow) {
-      const uint32_t first = PageForRank(rec, begin);
-      const uint32_t last = PageForRank(rec, end - 1);
+      const uint32_t first = PageForRank(rec, probe.begin);
+      const uint32_t last = PageForRank(rec, probe.end - 1);
       for (uint32_t id = first; id <= last; ++id) ids->push_back(id);
       return;
     }
-    const double pred = rec.seg.Predict(key);
-    const size_t rank = pred <= static_cast<double>(begin)
-                            ? begin
-                            : std::min(end - 1, static_cast<size_t>(pred));
-    ids->push_back(PageForRank(rec, rank));
+    ids->push_back(PageForRank(rec, probe.start));
   }
 
   // Stages the candidate pages of keys [i, ...) — capped at half the pool
@@ -990,35 +1007,46 @@ class DiskFitingTree {
     return emitted;
   }
 
-  // Lower bound of `key` over the base file, descending from an
-  // already-resolved directory floor.
-  size_t LowerBoundAt(size_t floor, const K& key) const {
-    if (base_size() == 0) return 0;
-    if (floor == kNoSlot) return 0;  // key sorts before every indexed key
+  // Outcome of one paged search: the lower-bound rank over the base file,
+  // and the payload stored there when that entry's key equals the probe.
+  // The payload is read from the frame the search already holds, so a
+  // lookup never pins its answer page a second time.
+  struct PagedResult {
+    size_t rank;
+    std::optional<uint64_t> match;
+  };
+
+  // Paged search of `key` from an already-resolved directory floor.
+  PagedResult SearchAt(size_t floor, const K& key) const {
+    // kNoSlot: the key sorts before every indexed key.
+    if (base_size() == 0 || floor == kNoSlot) return {0, std::nullopt};
     const SegmentRecord<K>& rec = segments_[floor];
-    const auto [begin, end] =
-        fitree::ErrorWindow(rec.seg.Predict(key), reader_.meta().error,
-                            SegStart(rec), SegEnd(rec));
-    StageWindow(rec, begin, end);
-    return WindowLowerBound(rec, begin, end, key);
+    const Probe probe = ProbeFor(rec, key);
+    StageWindow(rec, probe);
+    return WindowLowerBound(rec, probe, key);
   }
 
   // Speculative multi-page fetch (kWindow): when the error window
-  // straddles page boundaries, stage every page it spans in one batched
-  // read before the search, so the straddle costs one overlapped batch
-  // instead of serial faults. Pins are dropped immediately — the pages
-  // stay resident for WindowLowerBound's own (now hitting) fetches.
-  void StageWindow(const SegmentRecord<K>& rec, size_t begin,
-                   size_t end) const {
-    if (options_.fetch_strategy != FetchStrategy::kWindow || begin >= end) {
+  // straddles page boundaries, stage the window's pages that are not yet
+  // resident in one batched read, so the faults a walk across the window
+  // could take overlap in one batch instead of running serially. Resident
+  // pages are skipped (pinning them would only add a hit per page), and
+  // the pins are dropped at once — the pages stay resident for
+  // WindowLowerBound's own fetches, which then hit.
+  void StageWindow(const SegmentRecord<K>& rec, const Probe& probe) const {
+    if (options_.fetch_strategy != FetchStrategy::kWindow ||
+        probe.begin >= probe.end) {
       return;
     }
-    const uint32_t first = PageForRank(rec, begin);
-    const uint32_t last = PageForRank(rec, end - 1);
+    const uint32_t first = PageForRank(rec, probe.begin);
+    const uint32_t last = PageForRank(rec, probe.end - 1);
     if (first == last) return;  // no straddle, the serial fault is one read
     std::vector<uint32_t> ids;
     ids.reserve(last - first + 1);
-    for (uint32_t id = first; id <= last; ++id) ids.push_back(id);
+    for (uint32_t id = first; id <= last; ++id) {
+      if (!pool_->Contains(id)) ids.push_back(id);
+    }
+    if (ids.empty()) return;
     std::vector<const std::byte*> outs(ids.size());
     pool_->FetchBatch(ids.data(), ids.size(), outs.data());
     for (size_t i = 0; i < ids.size(); ++i) {
@@ -1032,86 +1060,96 @@ class DiskFitingTree {
   }
 
   std::optional<uint64_t> BaseLookupAt(size_t floor, const K& key) const {
-    if (base_size() == 0) return std::nullopt;
-    const size_t rank = LowerBoundAt(floor, key);
-    if (rank >= base_size()) return std::nullopt;
-    const auto entry = EntryAt(rank);
-    if (!entry.has_value() || entry->key != key) return std::nullopt;
-    return entry->value;
+    return SearchAt(floor, key).match;
   }
 
-  std::optional<LeafEntry<K>> EntryAt(size_t rank) const {
-    const SegmentRecord<K>& rec = segments_[SegmentForRank(rank)];
-    const size_t cap = reader_.meta().leaf_capacity;
-    PinnedPage pin(pool_.get(), PageForRank(rec, rank));
-    if (!pin) {
-      io_error_ = true;
-      return std::nullopt;
-    }
-    return LoadAs<LeafEntry<K>>(
-        pin.data() + kPageHeaderBytes +
-        ((rank - SegStart(rec)) % cap) * sizeof(LeafEntry<K>));
-  }
-
-  // Lower bound of `key` over ranks [begin, end) — always within one
-  // segment, because ErrorWindow clamps to the segment — searching page by
-  // page: a window of w ranks touches at most w / leaf_capacity + 1 pages,
-  // and pages before the answer are dismissed by one key comparison each.
-  size_t WindowLowerBound(const SegmentRecord<K>& rec, size_t begin,
-                          size_t end, const K& key) const {
+  // Lower bound of `key` over the window [probe.begin, probe.end) — always
+  // within one segment, because ErrorWindow clamps to the segment — walked
+  // page by page from the leaf holding probe.start, the predicted rank.
+  // The walk moves right only while `key` is above the current page's last
+  // window key, and left only while it is below the page's first window
+  // key, so a lookup faults 1 + |leaf(true rank) - leaf(predicted rank)|
+  // pages: one whenever the model's miss stays inside the predicted leaf.
+  // A key that falls between two pages, or past the window's edge, ends
+  // the walk at the page boundary or window edge it reached. Base keys are
+  // duplicate-free, so a key equal to a page's first key is answered on
+  // that page.
+  PagedResult WindowLowerBound(const SegmentRecord<K>& rec, const Probe& probe,
+                               const K& key) const {
     // Self time here is pure compute: the page faults this search triggers
     // are nested page_io spans (buffer_pool.h) and subtract out.
     telemetry::ScopedPhase phase(telemetry::Engine::kDisk,
                                  telemetry::Phase::kWindowSearch);
-    if (begin >= end) return begin;
+    if (probe.begin >= probe.end) return {probe.begin, std::nullopt};
     const size_t cap = reader_.meta().leaf_capacity;
     const size_t seg_start = SegStart(rec);
-    for (uint64_t leaf = (begin - seg_start) / cap;
-         leaf <= (end - 1 - seg_start) / cap; ++leaf) {
-      const size_t slice_begin =
-          std::max(begin, seg_start + static_cast<size_t>(leaf) * cap);
-      const size_t slice_end =
-          std::min(end, seg_start + (static_cast<size_t>(leaf) + 1) * cap);
+    const size_t first_leaf = (probe.begin - seg_start) / cap;
+    const size_t last_leaf = (probe.end - 1 - seg_start) / cap;
+    size_t leaf = (probe.start - seg_start) / cap;
+    int dir = 0;  // walk direction once committed: +1 right, -1 left
+    for (;;) {
+      const size_t page_first = seg_start + leaf * cap;
+      const size_t slice_begin = std::max(probe.begin, page_first);
+      const size_t slice_end = std::min(probe.end, page_first + cap);
       PinnedPage pin(pool_.get(),
                      static_cast<uint32_t>(rec.first_leaf_page + leaf));
       if (!pin) {
         io_error_ = true;
-        return end;
+        return {probe.end, std::nullopt};
       }
       const auto key_at = [&](size_t rank) {
-        return LoadAs<K>(pin.data() + kPageHeaderBytes +
-                         ((rank - seg_start) % cap) * sizeof(LeafEntry<K>));
+        return LoadAs<K>(EntryIn(pin.data(), page_first, rank));
       };
-      if (key_at(slice_end - 1) < key) continue;  // answer is further right
-      if (options_.search_policy == SearchPolicy::kSimd) {
-        // Branchless narrow over in-page ranks, then a strided vector
-        // count over the packed {key, payload} records. The slice never
-        // crosses the page, so the offset of b plus m entries stays within
-        // the pinned frame.
-        size_t b = slice_begin;
-        size_t m = slice_end - slice_begin;
-        while (m > simd::kSimdWindowKeys) {
-          const size_t half = m / 2;
-          b = key_at(b + half - 1) < key ? b + half : b;
-          m -= half;
-        }
-        const std::byte* base =
-            pin.data() + kPageHeaderBytes +
-            ((b - seg_start) % cap) * sizeof(LeafEntry<K>);
-        return b + simd::CountLessStrided(base, sizeof(LeafEntry<K>), m, key);
+      if (dir >= 0 && leaf < last_leaf && key_at(slice_end - 1) < key) {
+        dir = 1;
+        ++leaf;
+        continue;
       }
-      size_t lo = slice_begin, hi = slice_end;
-      while (lo < hi) {
-        const size_t mid = lo + (hi - lo) / 2;
-        if (key_at(mid) < key) {
-          lo = mid + 1;
-        } else {
-          hi = mid;
-        }
+      if (dir <= 0 && leaf > first_leaf && key < key_at(slice_begin)) {
+        dir = -1;
+        --leaf;
+        continue;
       }
-      return lo;
+      const size_t rank =
+          SliceLowerBound(pin.data(), page_first, slice_begin, slice_end, key);
+      if (rank < slice_end) {
+        const auto entry =
+            LoadAs<LeafEntry<K>>(EntryIn(pin.data(), page_first, rank));
+        if (entry.key == key) return {rank, entry.value};
+      }
+      return {rank, std::nullopt};
     }
-    return end;
+  }
+
+  // Lower bound of `key` over ranks [b, e) of ONE pinned leaf page, whose
+  // first entry is base rank `page_first`.
+  size_t SliceLowerBound(const std::byte* page, size_t page_first, size_t b,
+                         size_t e, const K& key) const {
+    const auto key_at = [&](size_t rank) {
+      return LoadAs<K>(EntryIn(page, page_first, rank));
+    };
+    if (options_.search_policy == SearchPolicy::kSimd) {
+      // Branchless narrow over in-page ranks, then a strided vector count
+      // over the packed {key, payload} records. The slice never crosses
+      // the page, so the offset of b plus m entries stays within the frame.
+      size_t m = e - b;
+      while (m > simd::kSimdWindowKeys) {
+        const size_t half = m / 2;
+        b = key_at(b + half - 1) < key ? b + half : b;
+        m -= half;
+      }
+      return b + simd::CountLessStrided(EntryIn(page, page_first, b),
+                                        sizeof(LeafEntry<K>), m, key);
+    }
+    while (b < e) {
+      const size_t mid = b + (e - b) / 2;
+      if (key_at(mid) < key) {
+        b = mid + 1;
+      } else {
+        e = mid;
+      }
+    }
+    return b;
   }
 
   std::string path_;

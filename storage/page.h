@@ -9,6 +9,7 @@
 #include <cstdlib>
 
 #include <array>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -47,27 +48,55 @@ inline constexpr size_t kPageHeaderBytes = sizeof(PageHeader);
 
 namespace detail {
 
-constexpr std::array<uint32_t, 256> MakeCrc32Table() {
-  std::array<uint32_t, 256> table{};
+// Slicing-by-8 tables for the reflected CRC-32 polynomial 0xEDB88320:
+// kCrc32Tables[0] is the classic byte-at-a-time table, and table k maps a
+// byte to its CRC contribution k bytes further back in the stream, so one
+// step folds 8 input bytes with 8 independent lookups.
+using Crc32Tables = std::array<std::array<uint32_t, 256>, 8>;
+
+constexpr Crc32Tables MakeCrc32Tables() {
+  Crc32Tables t{};
   for (uint32_t i = 0; i < 256; ++i) {
     uint32_t crc = i;
     for (int k = 0; k < 8; ++k) {
       crc = (crc >> 1) ^ ((crc & 1u) ? 0xEDB88320u : 0u);
     }
-    table[i] = crc;
+    t[0][i] = crc;
   }
-  return table;
+  for (size_t k = 1; k < t.size(); ++k) {
+    for (uint32_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+    }
+  }
+  return t;
 }
 
-inline constexpr std::array<uint32_t, 256> kCrc32Table = MakeCrc32Table();
+inline constexpr Crc32Tables kCrc32Tables = MakeCrc32Tables();
 
 }  // namespace detail
 
+// Standard CRC-32 (IEEE, reflected), computed 8 bytes per step. Same
+// polynomial and result as the byte-at-a-time form, so checksums stored
+// by either verify under the other.
 inline uint32_t Crc32(const void* data, size_t n) {
+  // The word loads below put the first stream byte in the low bits.
+  static_assert(std::endian::native == std::endian::little,
+                "slicing-by-8 Crc32 assumes little-endian word loads");
+  const auto& t = detail::kCrc32Tables;
   const auto* p = static_cast<const unsigned char*>(data);
   uint32_t crc = 0xFFFFFFFFu;
-  for (size_t i = 0; i < n; ++i) {
-    crc = (crc >> 8) ^ detail::kCrc32Table[(crc ^ p[i]) & 0xFFu];
+  for (; n >= 8; p += 8, n -= 8) {
+    uint32_t lo = 0;
+    uint32_t hi = 0;
+    std::memcpy(&lo, p, sizeof(lo));
+    std::memcpy(&hi, p + 4, sizeof(hi));
+    lo ^= crc;
+    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+          t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+          t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) {
+    crc = (crc >> 8) ^ t[0][(crc ^ *p) & 0xFFu];
   }
   return crc ^ 0xFFFFFFFFu;
 }

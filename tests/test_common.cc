@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cstdlib>
 #include <sstream>
+#include <string>
 
 #include "common/env.h"
+#include "common/options.h"
 #include "common/table_printer.h"
 #include "common/timer.h"
 
@@ -20,6 +22,56 @@ TEST(Env, ParsesAndDefaults) {
   EXPECT_EQ(fitree::GetEnvInt64("FITREE_TEST_ENV", 7), 7);
   ::unsetenv("FITREE_TEST_ENV");
   EXPECT_EQ(fitree::GetEnvInt64("FITREE_TEST_ENV", 9), 9);
+}
+
+// A typo in an enumerated knob must stop the process (status 2, naming
+// the variable, the value and the accepted values), never run a default.
+// The environment is changed inside the death-test child only.
+void ExpectKnobRejected(const char* name, const char* bad,
+                        const char* accepted_regex) {
+  EXPECT_EXIT(
+      {
+        ::setenv(name, bad, 1);
+        (void)fitree::Options::FromEnvironment();
+      },
+      ::testing::ExitedWithCode(2),
+      std::string(name) + "=" + bad + ".*" + accepted_regex);
+}
+
+TEST(OptionsDeathTest, UnknownSearchPolicyExits) {
+  ExpectKnobRejected("FITREE_SEARCH_POLICY", "simdd",
+                     "binary linear exponential simd");
+}
+
+TEST(OptionsDeathTest, UnknownDirectoryExits) {
+  ExpectKnobRejected("FITREE_DIRECTORY", "hash", "btree flat");
+}
+
+TEST(OptionsDeathTest, UnknownIoBackendExits) {
+  ExpectKnobRejected("FITREE_IO_BACKEND", "urring", "auto uring threads sync");
+}
+
+TEST(OptionsDeathTest, UnknownFetchStrategyExits) {
+  ExpectKnobRejected("FITREE_FETCH_STRATEGY", "windows", "single window");
+}
+
+TEST(Options, ValidKnobValuesParse) {
+  ::setenv("FITREE_SEARCH_POLICY", "binary", 1);
+  ::setenv("FITREE_DIRECTORY", "btree", 1);
+  ::setenv("FITREE_IO_BACKEND", "sync", 1);
+  ::setenv("FITREE_FETCH_STRATEGY", "window", 1);
+  const fitree::Options o = fitree::Options::FromEnvironment();
+  EXPECT_EQ(o.search_policy, fitree::SearchPolicy::kBinary);
+  EXPECT_EQ(o.directory, fitree::DirectoryMode::kBTree);
+  EXPECT_EQ(o.io_backend, fitree::IoBackend::kSync);
+  EXPECT_EQ(o.fetch_strategy, fitree::FetchStrategy::kWindow);
+  for (const char* name : {"FITREE_SEARCH_POLICY", "FITREE_DIRECTORY",
+                           "FITREE_IO_BACKEND", "FITREE_FETCH_STRATEGY"}) {
+    ::unsetenv(name);
+  }
+  const fitree::Options d = fitree::Options::FromEnvironment();
+  EXPECT_EQ(d.search_policy, fitree::SearchPolicy::kSimd);
+  EXPECT_EQ(d.fetch_strategy, fitree::FetchStrategy::kSingle);
 }
 
 TEST(Timer, Monotone) {
