@@ -1,6 +1,7 @@
 // Ablation sweeps for the design choices DESIGN.md calls out, registered
 // as four separately filterable experiments (--filter=ablation runs all):
-//   ablation_fanout      internal B+ tree fanout (paper Sec 2.2)
+//   ablation_fanout      B+ tree directory fanout of StaticFitingTree
+//                        (paper Sec 2.2)
 //   ablation_search      in-window search policy (paper Sec 4.1.2)
 //   ablation_feasibility endpoint line vs PGM-style cone
 //   ablation_buffer      buffer sizing policy (generalizes Figure 12)
@@ -14,6 +15,7 @@
 #include "common/table_printer.h"
 #include "core/fiting_tree.h"
 #include "core/shrinking_cone.h"
+#include "core/static_fiting_tree.h"
 #include "datasets/datasets.h"
 
 namespace fitree::bench {
@@ -48,14 +50,12 @@ Stats MeasureLookups(Runner& runner, Tree& tree,
 
 template <int kSlots>
 void FanoutPoint(Runner& runner, const AblationData& data) {
-  FitingTreeConfig config;
-  config.error = 256.0;
-  config.buffer_size = 0;
   // The sweep varies the B+ tree's node slots, so the B+ tree must be the
-  // directory that descends and is sized (the default flat directory has
-  // no fanout).
-  config.directory = DirectoryMode::kBTree;
-  auto tree = FitingTree<int64_t, kSlots, kSlots>::Create(*data.keys, config);
+  // directory that descends and is sized (the flat directory has no
+  // fanout). StaticFitingTree is the engine that keeps the paper's B+ tree.
+  auto tree = StaticFitingTree<int64_t, kSlots>::Create(
+      *data.keys, 256.0, DefaultSearchPolicy(), Feasibility::kEndpointLine,
+      DirectoryMode::kBTree);
   const Stats stats = MeasureLookups(runner, *tree, *data.probes);
   runner.Report(
       {{"node_slots", std::to_string(kSlots)}}, stats,
@@ -151,7 +151,8 @@ void RunBufferPolicy(Runner& runner) {
 
 FITREE_REGISTER_EXPERIMENT(
     "ablation_fanout",
-    "Ablation (a): internal B+ tree node slots (error=256)", RunFanout);
+    "Ablation (a): StaticFitingTree B+ tree node slots (error=256)",
+    RunFanout);
 FITREE_REGISTER_EXPERIMENT(
     "ablation_search", "Ablation (b): in-window search policy",
     RunSearchPolicy);

@@ -8,7 +8,7 @@
 //
 // Knobs resolved here:
 //   FITREE_SEARCH_POLICY  binary | linear | exponential | simd  (simd)
-//   FITREE_DIRECTORY      btree | flat                          (flat)
+//   FITREE_DIRECTORY      btree | flat, StaticFitingTree only   (flat)
 //   FITREE_TELEM_SAMPLE   latency sampling period, >= 1         (64)
 //   FITREE_TRACE          0 | 1 trace-ring capture              (0)
 //   FITREE_TRACE_RING     per-thread trace ring slots, >= 16    (4096)
@@ -25,9 +25,11 @@
 //
 // An enumerated knob (FITREE_SEARCH_POLICY, FITREE_DIRECTORY,
 // FITREE_IO_BACKEND, FITREE_FETCH_STRATEGY) set to a value outside its
-// list is a configuration error: the process names the variable, the value
-// and the accepted values on stderr and exits with status 2, instead of
-// silently running the default.
+// list, or a numeric knob set to anything but a whole decimal integer
+// ("abc", "12abc", out of range), is a configuration error: the process
+// names the variable and the value on stderr and exits with status 2,
+// instead of silently running the default. Numeric values that parse are
+// then clamped to their ranges above.
 //
 // Bench-harness knobs (FITREE_BENCH_*) stay in bench/ — they size
 // workloads, not the engines.
@@ -37,6 +39,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <optional>
@@ -108,6 +111,22 @@ auto ParseEnumKnob(const char* name, const char* def, const char* accepted,
   return *parsed;
 }
 
+// Resolves numeric knob `name` (default `def` when unset or empty); text
+// that is not a whole base-10 int64 is fatal (exit status 2).
+inline int64_t ParseIntKnob(const char* name, int64_t def) {
+  const char* value = std::getenv(name);
+  if (value == nullptr || *value == '\0') return def;
+  char* end = nullptr;
+  errno = 0;
+  const long long parsed = std::strtoll(value, &end, 10);
+  if (end == value || *end != '\0' || errno == ERANGE) {
+    std::fprintf(stderr, "fitree: %s=%s is not a valid value; expected an "
+                 "integer\n", name, value);
+    std::exit(2);
+  }
+  return static_cast<int64_t>(parsed);
+}
+
 struct Options {
   SearchPolicy search_policy = SearchPolicy::kSimd;
   DirectoryMode directory = DirectoryMode::kFlat;
@@ -124,7 +143,8 @@ struct Options {
   size_t compact_threshold_pct = 0;  // 0 = no automatic incremental compact
 
   // Reads every knob from the environment, applying defaults and clamps.
-  // Exits with status 2 on an unknown enumerated value.
+  // Exits with status 2 on an unknown enumerated value or a non-integer
+  // numeric value.
   static Options FromEnvironment() {
     Options o;
     o.search_policy =
@@ -132,25 +152,25 @@ struct Options {
                       "binary linear exponential simd", ParseSearchPolicy);
     o.directory = ParseEnumKnob("FITREE_DIRECTORY", "flat", "btree flat",
                                 ParseDirectoryMode);
-    const int64_t sample = GetEnvInt64("FITREE_TELEM_SAMPLE", 64);
+    const int64_t sample = ParseIntKnob("FITREE_TELEM_SAMPLE", 64);
     o.telemetry_sample = sample < 1 ? 1u : static_cast<uint64_t>(sample);
-    o.trace = GetEnvInt64("FITREE_TRACE", 0) != 0;
-    const int64_t ring = GetEnvInt64("FITREE_TRACE_RING", 4096);
+    o.trace = ParseIntKnob("FITREE_TRACE", 0) != 0;
+    const int64_t ring = ParseIntKnob("FITREE_TRACE_RING", 4096);
     o.trace_ring = ring < 16 ? 16u : static_cast<size_t>(ring);
-    o.perf = GetEnvInt64("FITREE_PERF", 1) != 0;
-    const int64_t shards = GetEnvInt64("FITREE_SHARDS", 4);
+    o.perf = ParseIntKnob("FITREE_PERF", 1) != 0;
+    const int64_t shards = ParseIntKnob("FITREE_SHARDS", 4);
     o.shards = shards < 1 ? 1u : static_cast<size_t>(shards);
-    const int64_t batch = GetEnvInt64("FITREE_BATCH", 32);
+    const int64_t batch = ParseIntKnob("FITREE_BATCH", 32);
     o.batch = batch < 1 ? 1u : static_cast<size_t>(batch);
     o.io_backend = ParseEnumKnob("FITREE_IO_BACKEND", "auto",
                                  "auto uring threads sync", ParseIoBackend);
-    const int64_t depth = GetEnvInt64("FITREE_IO_DEPTH", 64);
+    const int64_t depth = ParseIntKnob("FITREE_IO_DEPTH", 64);
     o.io_depth = depth < 1 ? 1u
                            : depth > 1024 ? 1024u : static_cast<size_t>(depth);
-    o.io_direct = GetEnvInt64("FITREE_IO_DIRECT", 0) != 0;
+    o.io_direct = ParseIntKnob("FITREE_IO_DIRECT", 0) != 0;
     o.fetch_strategy = ParseEnumKnob(
         "FITREE_FETCH_STRATEGY", "single", "single window", ParseFetchStrategy);
-    const int64_t compact = GetEnvInt64("FITREE_COMPACT_THRESHOLD", 0);
+    const int64_t compact = ParseIntKnob("FITREE_COMPACT_THRESHOLD", 0);
     o.compact_threshold_pct =
         compact < 0 ? 0u
                     : compact > 10000 ? 10000u : static_cast<size_t>(compact);

@@ -49,18 +49,16 @@
 #include <optional>
 #include <span>
 #include <thread>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "common/options.h"
-#include "common/prefetch.h"
 #include "concurrency/epoch.h"
 #include "concurrency/merge_worker.h"
 #include "concurrency/seg_latch.h"
-#include "core/fiting_tree.h"
 #include "core/flat_directory.h"
 #include "core/search_policy.h"
+#include "core/segment.h"
 #include "core/shrinking_cone.h"
 #include "telemetry/phase.h"
 #include "telemetry/registry.h"
@@ -78,9 +76,8 @@ struct ConcurrentFitingTreeConfig {
   // absorbing writes while their merge is queued.
   size_t buffer_size = kAutoBufferSize;
   // In-window search strategy; defaults to the FITREE_SEARCH_POLICY knob
-  // (simd unless overridden). The directory here is always the flat COW
-  // snapshot — it is what makes readers lock-free — so there is no
-  // btree/flat choice to make.
+  // (simd unless overridden). The directory is a flat COW snapshot — it is
+  // what makes readers lock-free.
   SearchPolicy search_policy = DefaultSearchPolicy();
   Feasibility feasibility = Feasibility::kEndpointLine;
   // Off: the mutating thread merges inline. On: overflows are queued to a
@@ -154,21 +151,20 @@ class ConcurrentFitingTree {
   // overrides the page: a tombstone hides the paged key, a live override
   // supersedes the paged payload.
   std::optional<V> Lookup(const K& key) const {
-    telemetry::ScopedOp telem(telemetry::Engine::kConcurrent,
-                              telemetry::Op::kLookup);
+    telemetry::ScopedOp telem(kEngine, telemetry::Op::kLookup);
     EpochGuard guard(epoch_);
     const Directory* dir = dir_.load(std::memory_order_seq_cst);
     const Segment* seg = dir->Floor(key);
     if (seg == nullptr) return std::nullopt;
     // Start the predicted page lines travelling while the buffer probe
     // (sequence check or short critical section) runs.
-    PrefetchPredicted(*seg, key);
+    seg->PrefetchPredicted(key);
     BufferEntry entry;
     if (SearchBuffer(*seg, key, &entry)) {
       if (entry.tombstone) return std::nullopt;
       return entry.value;
     }
-    const size_t i = SearchPage(*seg, key);
+    const size_t i = FindInPage(*seg, key);
     if (i == kNotFound) return std::nullopt;
     return seg->values[i];
   }
@@ -184,8 +180,7 @@ class ConcurrentFitingTree {
   bool Insert(const K& key, const V& value = V{}) {
     // Counts the call (like stats_inserts_), not the success — what lets a
     // driver check its issued-op totals against the registry exactly.
-    telemetry::ScopedOp telem(telemetry::Engine::kConcurrent,
-                              telemetry::Op::kInsert);
+    telemetry::ScopedOp telem(kEngine, telemetry::Op::kInsert);
     stats_inserts_.fetch_add(1, std::memory_order_relaxed);
     EpochGuard guard(epoch_);
     for (;;) {
@@ -198,7 +193,7 @@ class ConcurrentFitingTree {
       // The page is immutable while the segment is live, so the bounded
       // search can run before taking the latch; a retirement between the
       // search and the lock is caught by the retired check and retried.
-      const size_t page_idx = SearchPage(*seg, key);
+      const size_t page_idx = FindInPage(*seg, key);
       seg->latch.Lock();
       if (seg->retired.load(std::memory_order_relaxed)) {
         // A merge replaced this segment after we located it; retry against
@@ -235,14 +230,13 @@ class ConcurrentFitingTree {
   // Updating a paged key writes a live override entry into the buffer (the
   // page is immutable); the next merge folds it into the new page.
   bool Update(const K& key, const V& value) {
-    telemetry::ScopedOp telem(telemetry::Engine::kConcurrent,
-                              telemetry::Op::kUpdate);
+    telemetry::ScopedOp telem(kEngine, telemetry::Op::kUpdate);
     EpochGuard guard(epoch_);
     for (;;) {
       const Directory* dir = dir_.load(std::memory_order_seq_cst);
       Segment* seg = dir->Floor(key);
       if (seg == nullptr) return false;
-      const size_t page_idx = SearchPage(*seg, key);  // pre-latch: page immutable
+      const size_t page_idx = FindInPage(*seg, key);  // page is immutable
       seg->latch.Lock();
       if (seg->retired.load(std::memory_order_relaxed)) {
         seg->latch.Unlock();
@@ -276,14 +270,13 @@ class ConcurrentFitingTree {
   // outright. Tombstones count against the buffer budget, so delete-heavy
   // traffic merges just like insert-heavy traffic.
   bool Delete(const K& key) {
-    telemetry::ScopedOp telem(telemetry::Engine::kConcurrent,
-                              telemetry::Op::kDelete);
+    telemetry::ScopedOp telem(kEngine, telemetry::Op::kDelete);
     EpochGuard guard(epoch_);
     for (;;) {
       const Directory* dir = dir_.load(std::memory_order_seq_cst);
       Segment* seg = dir->Floor(key);
       if (seg == nullptr) return false;
-      const size_t page_idx = SearchPage(*seg, key);  // pre-latch: page immutable
+      const size_t page_idx = FindInPage(*seg, key);  // page is immutable
       seg->latch.Lock();
       if (seg->retired.load(std::memory_order_relaxed)) {
         seg->latch.Unlock();
@@ -330,8 +323,7 @@ class ConcurrentFitingTree {
   // Returns the number of entries emitted (IndexApi contract).
   template <typename Fn>
   size_t ScanRange(const K& lo, const K& hi, Fn fn) const {
-    telemetry::ScopedOp telem(telemetry::Engine::kConcurrent,
-                              telemetry::Op::kScan);
+    telemetry::ScopedOp telem(kEngine, telemetry::Op::kScan);
     if (hi < lo) return 0;
     EpochGuard guard(epoch_);
     const Directory* dir = dir_.load(std::memory_order_seq_cst);
@@ -342,7 +334,7 @@ class ConcurrentFitingTree {
       const Segment* seg = dir->segments[i];
       if (seg->first_key > hi) break;
       CopyBuffer(*seg, &buffer_copy);
-      emitted += EmitRange(*seg, buffer_copy, lo, hi, fn);
+      emitted += seg->EmitRange(buffer_copy, lo, hi, fn);
     }
     return emitted;
   }
@@ -355,7 +347,7 @@ class ConcurrentFitingTree {
     EpochGuard guard(epoch_);
     const Directory* dir = dir_.load(std::memory_order_seq_cst);
     const Segment* seg = dir->Floor(key);
-    if (seg != nullptr) PrefetchPredicted(*seg, key);
+    if (seg != nullptr) seg->PrefetchPredicted(key);
   }
 
   size_t SegmentCount() const {
@@ -369,7 +361,35 @@ class ConcurrentFitingTree {
     EpochGuard guard(epoch_);
     const Directory* dir = dir_.load(std::memory_order_seq_cst);
     return dir->segments.size() * (sizeof(K) + sizeof(Segment*)) +
-           dir->segments.size() * kSegmentMetaBytes;
+           dir->segments.size() * Segment::kMetaBytes;
+  }
+
+  // Checks the structure's invariants on the current directory snapshot:
+  // first keys strictly sorted, each equal to its segment's first key, every
+  // page within the error bound (SegmentPage::CheckErrorBound), every
+  // buffer sorted and unique with its tombstones shadowing paged keys.
+  // Meant for quiesced checkpoints; it latches each buffer, so it is safe
+  // (not exact) under concurrent writes.
+  bool Validate() const {
+    EpochGuard guard(epoch_);
+    const Directory* dir = dir_.load(std::memory_order_seq_cst);
+    if (dir->first_keys.size() != dir->segments.size()) return false;
+    for (size_t i = 0; i < dir->segments.size(); ++i) {
+      const Segment& seg = *dir->segments[i];
+      const K& key = dir->first_keys.key_at(i);
+      if (i > 0 && !(dir->first_keys.key_at(i - 1) < key)) return false;
+      if (key != seg.first_key) return false;
+      if (!seg.CheckErrorBound(config_.error)) return false;
+      SegLatch::Scoped lock(seg.latch);
+      if (!BufferSortedUnique<K, V>(seg.buffer)) return false;
+      for (const BufferEntry& e : seg.buffer) {
+        if (e.tombstone &&
+            !std::binary_search(seg.keys.begin(), seg.keys.end(), e.key)) {
+          return false;
+        }
+      }
+    }
+    return true;
   }
 
   ConcurrentFitingTreeStats stats() const {
@@ -390,7 +410,7 @@ class ConcurrentFitingTree {
   // racing write may be off by one, the level is advisory).
   telemetry::StructuralStats Stats() const {
     telemetry::StructuralStats st;
-    st.engine = telemetry::EngineName(telemetry::Engine::kConcurrent);
+    st.engine = telemetry::EngineName(kEngine);
     EpochGuard guard(epoch_);
     const Directory* dir = dir_.load(std::memory_order_seq_cst);
     size_t buffered = 0, max_buffer = 0;
@@ -439,30 +459,20 @@ class ConcurrentFitingTree {
   }
 
  private:
-  static constexpr size_t kNotFound = static_cast<size_t>(-1);
+  static constexpr telemetry::Engine kEngine = telemetry::Engine::kConcurrent;
 
   using BufferEntry = detail::BufferEntry<K, V>;
 
-  struct Segment {
-    K first_key{};
-    double slope = 0.0;
-    double intercept = 0.0;      // predicted in-page rank at first_key
-    std::vector<K> keys;         // immutable once published
-    std::vector<V> values;       // payloads, parallel to `keys`, immutable
+  // The page (keys, payloads, model) is immutable once published.
+  struct Segment : SegmentPage<K, V> {
     mutable SegLatch latch;      // guards buffer + retired transition
     std::atomic<bool> retired{false};
     std::atomic<bool> merge_pending{false};
     std::atomic<uint32_t> buffer_count{0};
     std::vector<BufferEntry> buffer;  // sorted delta buffer, latch-protected
-
-    double Predict(const K& key) const {
-      return intercept + slope * (static_cast<double>(key) -
-                                  static_cast<double>(first_key));
-    }
   };
 
-  static constexpr size_t kSegmentMetaBytes =
-      sizeof(K) + 2 * sizeof(double) + sizeof(void*);
+  static constexpr size_t kNotFound = Segment::kNotFound;
 
   // Immutable snapshot of the segment directory. Merges publish a fresh
   // copy; the arrays (and the flat index over the first keys) are never
@@ -481,7 +491,7 @@ class ConcurrentFitingTree {
     }
 
     Segment* Floor(const K& key) const {
-      telemetry::ScopedPhase phase(telemetry::Engine::kConcurrent,
+      telemetry::ScopedPhase phase(kEngine,
                                    telemetry::Phase::kDirectoryDescent);
       return segments.empty() ? nullptr : segments[FloorIndex(key)];
     }
@@ -497,17 +507,7 @@ class ConcurrentFitingTree {
       dir->segments.reserve(models.size());
       for (const fitree::Segment<K>& m : models) {
         auto* seg = new Segment();
-        seg->first_key = m.first_key;
-        seg->slope = m.slope;
-        seg->intercept = m.intercept - static_cast<double>(m.start);
-        seg->keys.assign(keys.begin() + m.start,
-                         keys.begin() + m.start + m.length);
-        if (values.empty()) {
-          seg->values.assign(m.length, V{});
-        } else {
-          seg->values.assign(values.begin() + m.start,
-                             values.begin() + m.start + m.length);
-        }
+        seg->Assign(m, keys, values);
         first_keys.push_back(m.first_key);
         dir->segments.push_back(seg);
       }
@@ -517,36 +517,10 @@ class ConcurrentFitingTree {
     dir_.store(dir.release(), std::memory_order_seq_cst);
   }
 
-  // Error-bounded search of the immutable page, sharing ErrorWindow with
-  // the single-threaded and disk-resident lookup paths. Returns the
-  // in-page index of `key`, or kNotFound.
-  size_t SearchPage(const Segment& seg, const K& key) const {
-    telemetry::ScopedPhase phase(telemetry::Engine::kConcurrent,
-                                 telemetry::Phase::kWindowSearch);
-    const size_t n = seg.keys.size();
-    if (n == 0) return kNotFound;
-    const double pred = seg.Predict(key);
-    // Keys below the leftmost segment (floor fallback) predict far
-    // negative; bail before ErrorWindow's size_t casts.
-    if (pred + config_.error + 2.0 < 0.0) return kNotFound;
-    const auto [begin, end] = ErrorWindow(pred, config_.error, 0, n);
-    const size_t hint = static_cast<size_t>(std::max(0.0, pred));
-    const size_t i = detail::BoundedLowerBound(
-        seg.keys.data(), begin, end, hint, key, config_.search_policy);
-    return i < n && seg.keys[i] == key ? i : kNotFound;
-  }
-
-  // Prefetch the predicted in-page position so the lines arrive while the
-  // buffer probe between descent and page search executes. Pages are
-  // immutable while a segment is live, so this reads nothing racy.
-  void PrefetchPredicted(const Segment& seg, const K& key) const {
-    const size_t n = seg.keys.size();
-    if (n == 0) return;
-    const double pred = seg.Predict(key);
-    const size_t hint =
-        pred <= 0.0 ? 0 : std::min(n - 1, static_cast<size_t>(pred));
-    PrefetchRead(seg.keys.data() + hint);
-    PrefetchRead(seg.values.data() + hint);
+  // The kernel's error-bounded page search. The page is immutable while
+  // the segment is live, so this runs without the latch.
+  size_t FindInPage(const Segment& seg, const K& key) const {
+    return seg.Find(key, config_.error, config_.search_policy, kEngine);
   }
 
   // Latch-eliding buffer probe: a sequence-validated empty check answers
@@ -555,8 +529,7 @@ class ConcurrentFitingTree {
   // true and copies the entry out when `key` has one.
   bool SearchBuffer(const Segment& seg, const K& key,
                     BufferEntry* out) const {
-    telemetry::ScopedPhase phase(telemetry::Engine::kConcurrent,
-                                 telemetry::Phase::kBufferProbe);
+    telemetry::ScopedPhase phase(kEngine, telemetry::Phase::kBufferProbe);
     const uint32_t seq = seg.latch.ReadSeq();
     if (seg.buffer_count.load(std::memory_order_acquire) == 0 &&
         seg.latch.Validate(seq)) {
@@ -579,46 +552,6 @@ class ConcurrentFitingTree {
     }
     SegLatch::Scoped lock(seg.latch);
     *out = seg.buffer;
-  }
-
-  // Returns the number of entries emitted from this segment.
-  template <typename Fn>
-  size_t EmitRange(const Segment& seg, const std::vector<BufferEntry>& buffer,
-                   const K& lo, const K& hi, Fn& fn) const {
-    size_t emitted = 0;
-    auto k = std::lower_bound(seg.keys.begin(), seg.keys.end(), lo);
-    auto b = std::lower_bound(buffer.begin(), buffer.end(), lo,
-                              detail::BufferKeyLess{});
-    while (k != seg.keys.end() || b != buffer.end()) {
-      const bool page_first =
-          b == buffer.end() || (k != seg.keys.end() && *k < b->key);
-      if (page_first) {
-        if (*k > hi) return emitted;
-        detail::EmitEntry(fn, *k,
-                          seg.values[static_cast<size_t>(k - seg.keys.begin())]);
-        ++emitted;
-        ++k;
-        continue;
-      }
-      if (b->key > hi) return emitted;
-      if (k != seg.keys.end() && *k == b->key) {
-        // The buffer shadows the page: a tombstone hides the paged key, a
-        // live override replaces its payload.
-        if (!b->tombstone) {
-          detail::EmitEntry(fn, b->key, b->value);
-          ++emitted;
-        }
-        ++k;
-        ++b;
-        continue;
-      }
-      if (!b->tombstone) {
-        detail::EmitEntry(fn, b->key, b->value);
-        ++emitted;
-      }
-      ++b;
-    }
-    return emitted;
   }
 
   // Precondition: latch held. Sorted insertion point for `key`.
@@ -680,10 +613,8 @@ class ConcurrentFitingTree {
   void MergeSegment(Segment* seg) {
     // Always-timed (merges are rare, long, and the histogram should see
     // every one); cancelled on the early-outs below, which are not merges.
-    telemetry::ScopedDuration telem(telemetry::Engine::kConcurrent,
-                                    telemetry::Op::kMerge);
-    telemetry::ScopedPhase phase(telemetry::Engine::kConcurrent,
-                                 telemetry::Phase::kMergeResegment);
+    telemetry::ScopedDuration telem(kEngine, telemetry::Op::kMerge);
+    telemetry::ScopedPhase phase(kEngine, telemetry::Phase::kMergeResegment);
     std::vector<K> merged;
     std::vector<V> merged_values;
     {
@@ -698,35 +629,12 @@ class ConcurrentFitingTree {
         return;
       }
       seg->retired.store(true, std::memory_order_release);
-      merged.reserve(seg->keys.size() + seg->buffer.size());
-      merged_values.reserve(merged.capacity());
-      size_t k = 0;
-      size_t b = 0;
-      while (k < seg->keys.size() || b < seg->buffer.size()) {
-        const bool page_first =
-            b == seg->buffer.size() ||
-            (k < seg->keys.size() && seg->keys[k] < seg->buffer[b].key);
-        if (page_first) {
-          merged.push_back(seg->keys[k]);
-          merged_values.push_back(seg->values[k]);
-          ++k;
-        } else if (k < seg->keys.size() &&
-                   seg->keys[k] == seg->buffer[b].key) {
-          // Buffer shadows page: override replaces the payload, tombstone
-          // drops the key.
-          if (!seg->buffer[b].tombstone) {
-            merged.push_back(seg->buffer[b].key);
-            merged_values.push_back(seg->buffer[b].value);
-          }
-          ++k;
-          ++b;
-        } else {
-          assert(!seg->buffer[b].tombstone);
-          merged.push_back(seg->buffer[b].key);
-          merged_values.push_back(seg->buffer[b].value);
-          ++b;
-        }
-      }
+      [[maybe_unused]] const size_t dropped =
+          seg->MergeBuffer(seg->buffer, &merged, &merged_values);
+      // Buffer invariant: every tombstone shadows a paged key.
+      assert(dropped == static_cast<size_t>(std::count_if(
+                            seg->buffer.begin(), seg->buffer.end(),
+                            [](const BufferEntry& e) { return e.tombstone; })));
     }
     stats_merges_.fetch_add(1, std::memory_order_relaxed);
 
@@ -737,15 +645,8 @@ class ConcurrentFitingTree {
       stats_created_.fetch_add(models.size(), std::memory_order_relaxed);
       replacements.reserve(models.size());
       for (const fitree::Segment<K>& m : models) {
-        auto* out = new Segment();
-        out->first_key = m.first_key;
-        out->slope = m.slope;
-        out->intercept = m.intercept - static_cast<double>(m.start);
-        out->keys.assign(merged.begin() + m.start,
-                         merged.begin() + m.start + m.length);
-        out->values.assign(merged_values.begin() + m.start,
-                           merged_values.begin() + m.start + m.length);
-        replacements.push_back(out);
+        replacements.push_back(new Segment());
+        replacements.back()->Assign(m, merged, merged_values);
       }
     } else {
       stats_retired_.fetch_add(1, std::memory_order_relaxed);

@@ -11,11 +11,13 @@
 // the data-aware split that distinguishes FITing-Tree from fixed paging; a
 // merge that deletes every key retires the segment outright.
 //
-// The segment directory is a B+ tree keyed by each segment's first key; its
-// node width is a template parameter so bench_ablations can sweep fanout.
-// Read operations are const and safe for concurrent readers.
+// Each segment is a SegmentPage (core/segment.h, the kernel shared with the
+// concurrent engine) plus its buffer. The segment directory is a flat sorted
+// array of first keys (core/flat_directory.h: interpolation + SIMD floor),
+// spliced in place when a merge replaces a segment. Read operations are
+// const and safe for concurrent readers.
 //
-// Buffer invariants (checked by tests/oracle.h's differential driver):
+// Buffer invariants (asserted at merge time, checked by Validate()):
 //   - at most one buffer entry per key;
 //   - a live entry's key is absent from the page (pure pending insert);
 //   - a tombstone's key is present in the page (pending delete).
@@ -25,22 +27,19 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <optional>
 #include <span>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
-#include "btree/btree_map.h"
 #include "common/options.h"
-#include "common/prefetch.h"
 #include "common/timer.h"
 #include "core/flat_directory.h"
 #include "core/search_policy.h"
+#include "core/segment.h"
 #include "core/shrinking_cone.h"
 #include "telemetry/phase.h"
 #include "telemetry/registry.h"
@@ -58,11 +57,9 @@ struct FitingTreeConfig {
   // means merge on every mutation (write-pessimal, read-optimal);
   // kAutoBufferSize means error/2.
   size_t buffer_size = kAutoBufferSize;
-  // In-window search + directory descent strategy for the read path;
-  // defaults follow the FITREE_SEARCH_POLICY / FITREE_DIRECTORY env knobs
-  // (simd + flat unless overridden).
+  // In-window search strategy; defaults to the FITREE_SEARCH_POLICY knob
+  // (simd unless overridden).
   SearchPolicy search_policy = DefaultSearchPolicy();
-  DirectoryMode directory = DefaultDirectoryMode();
   Feasibility feasibility = Feasibility::kEndpointLine;
 };
 
@@ -76,42 +73,7 @@ struct FitingTreeStats {
   uint64_t tombstones_cleared = 0;  // deleted keys resolved by merges
 };
 
-namespace detail {
-
-// Invokes a scan callback that accepts either (key) or (key, value), so
-// key-only consumers (the paper benches) and payload-aware consumers (the
-// CRUD suites) share one ScanRange.
-template <typename Fn, typename K, typename V>
-inline void EmitEntry(Fn& fn, const K& key, const V& value) {
-  if constexpr (std::is_invocable_v<Fn&, const K&, const V&>) {
-    fn(key, value);
-  } else {
-    fn(key);
-  }
-}
-
-// One pending mutation in a segment's delta buffer, shared by the
-// single-threaded and concurrent engines (their buffer invariants differ —
-// see each class comment — but the record and its ordering do not).
-template <typename K, typename V>
-struct BufferEntry {
-  K key{};
-  V value{};
-  bool tombstone = false;
-};
-
-// Heterogeneous key comparator for lower_bound over a sorted buffer.
-struct BufferKeyLess {
-  template <typename K, typename V>
-  bool operator()(const BufferEntry<K, V>& e, const K& k) const {
-    return e.key < k;
-  }
-};
-
-}  // namespace detail
-
-template <typename K, int kInnerSlots = 16, int kLeafSlots = kInnerSlots,
-          typename V = uint64_t>
+template <typename K, typename V = uint64_t>
 class FitingTree {
  public:
   using Key = K;
@@ -146,17 +108,16 @@ class FitingTree {
   // override the page: a tombstone hides the paged key until the next merge
   // physically drops it.
   std::optional<V> Lookup(const K& key) const {
-    telemetry::ScopedOp telem(telemetry::Engine::kBuffered,
-                              telemetry::Op::kLookup);
+    telemetry::ScopedOp telem(kEngine, telemetry::Op::kLookup);
     const SegmentData* seg = LocateSegment(key);
     if (seg == nullptr) return std::nullopt;
     // Start the page lines travelling while the buffer probe runs.
-    PrefetchPredicted(*seg, key);
+    seg->PrefetchPredicted(key);
     if (const BufferEntry* entry = FindBuffer(*seg, key)) {
       if (entry->tombstone) return std::nullopt;
       return entry->value;
     }
-    const size_t i = SearchSegment(*seg, key);
+    const size_t i = FindInPage(*seg, key);
     if (i == kNotFound) return std::nullopt;
     return seg->values[i];
   }
@@ -172,10 +133,10 @@ class FitingTree {
                              int64_t* page_ns) const {
     // Count-only: this path already times itself at finer grain, and a
     // sampled ScopedOp timer would perturb the breakdown it measures.
-    telemetry::CountOp(telemetry::Engine::kBuffered, telemetry::Op::kLookup);
+    telemetry::CountOp(kEngine, telemetry::Op::kLookup);
     Timer timer;
     const SegmentData* seg = LocateSegment(key);
-    if (seg != nullptr) PrefetchPredicted(*seg, key);
+    if (seg != nullptr) seg->PrefetchPredicted(key);
     *tree_ns += timer.ElapsedNs();
     timer.Reset();
     bool found = false;
@@ -183,7 +144,7 @@ class FitingTree {
       if (const BufferEntry* entry = FindBuffer(*seg, key)) {
         found = !entry->tombstone;
       } else {
-        found = SearchSegment(*seg, key) != kNotFound;
+        found = FindInPage(*seg, key) != kNotFound;
       }
     }
     *page_ns += timer.ElapsedNs();
@@ -195,27 +156,19 @@ class FitingTree {
   // lands in its floor segment's buffer; a full buffer triggers
   // merge-and-resegment.
   bool Insert(const K& key, const V& value = V{}) {
-    telemetry::ScopedOp telem(telemetry::Engine::kBuffered,
-                              telemetry::Op::kInsert);
+    telemetry::ScopedOp telem(kEngine, telemetry::Op::kInsert);
     ++stats_.inserts;
     SegmentData* seg = LocateSegmentMutable(key);
     if (seg == nullptr) {
       // First key of an empty tree.
       auto data = std::make_unique<SegmentData>();
       data->first_key = key;
-      data->slope = 0.0;
-      data->intercept = 0.0;
       data->keys.push_back(key);
       data->values.push_back(value);
-      directory_.Insert(key, data.get());
-      {
-        const K first_key = key;
-        SegmentData* ptr = data.get();
-        flat_dir_.Splice(0, 0, std::span<const K>(&first_key, 1),
-                         std::span<SegmentData* const>(&ptr, 1));
-      }
+      SegmentData* ptr = data.get();
+      dir_.Splice(0, 0, std::span<const K>(&key, 1),
+                  std::span<SegmentData* const>(&ptr, 1));
       segments_.push_back(std::move(data));
-      ++live_segments_;
       ++size_;
       return true;
     }
@@ -224,14 +177,14 @@ class FitingTree {
       if (!pos->tombstone) return false;  // live duplicate
       // Delete-then-reinsert: the key still sits in the page; drop the
       // tombstone and refresh the paged payload in place.
-      const size_t i = SearchSegment(*seg, key);
+      const size_t i = FindInPage(*seg, key);
       assert(i != kNotFound);
       seg->values[i] = value;
       seg->buffer.erase(pos);
       ++size_;
       return true;
     }
-    if (SearchSegment(*seg, key) != kNotFound) return false;
+    if (FindInPage(*seg, key) != kNotFound) return false;
     seg->buffer.insert(pos, BufferEntry{key, value, false});
     ++size_;
     if (seg->buffer.size() > effective_buffer_) MergeSegment(seg);
@@ -240,8 +193,7 @@ class FitingTree {
 
   // Replaces the payload of a present key. Returns false when absent.
   bool Update(const K& key, const V& value) {
-    telemetry::ScopedOp telem(telemetry::Engine::kBuffered,
-                              telemetry::Op::kUpdate);
+    telemetry::ScopedOp telem(kEngine, telemetry::Op::kUpdate);
     SegmentData* seg = LocateSegmentMutable(key);
     if (seg == nullptr) return false;
     auto pos = BufferPos(*seg, key);
@@ -251,7 +203,7 @@ class FitingTree {
       ++stats_.updates;
       return true;
     }
-    const size_t i = SearchSegment(*seg, key);
+    const size_t i = FindInPage(*seg, key);
     if (i == kNotFound) return false;
     seg->values[i] = value;
     ++stats_.updates;
@@ -263,8 +215,7 @@ class FitingTree {
   // outright. Tombstones count against the buffer budget, so delete-heavy
   // traffic triggers merges just like insert-heavy traffic.
   bool Delete(const K& key) {
-    telemetry::ScopedOp telem(telemetry::Engine::kBuffered,
-                              telemetry::Op::kDelete);
+    telemetry::ScopedOp telem(kEngine, telemetry::Op::kDelete);
     SegmentData* seg = LocateSegmentMutable(key);
     if (seg == nullptr) return false;
     auto pos = BufferPos(*seg, key);
@@ -275,7 +226,7 @@ class FitingTree {
       ++stats_.deletes;
       return true;
     }
-    if (SearchSegment(*seg, key) == kNotFound) return false;
+    if (FindInPage(*seg, key) == kNotFound) return false;
     seg->buffer.insert(pos, BufferEntry{key, V{}, true});
     --size_;
     ++stats_.deletes;
@@ -289,19 +240,14 @@ class FitingTree {
   // (IndexApi contract, core/index_api.h).
   template <typename Fn>
   size_t ScanRange(const K& lo, const K& hi, Fn fn) const {
-    telemetry::ScopedOp telem(telemetry::Engine::kBuffered,
-                              telemetry::Op::kScan);
-    if (live_segments_ == 0 || hi < lo) return 0;
-    K start_key{};
-    if (directory_.FindFloor(lo, &start_key) == nullptr) {
-      directory_.First(&start_key);
-    }
+    telemetry::ScopedOp telem(kEngine, telemetry::Op::kScan);
+    if (dir_.empty() || hi < lo) return 0;
     size_t emitted = 0;
-    directory_.ScanFrom(start_key, [&](const K& first_key, SegmentData* seg) {
-      if (first_key > hi) return false;
-      emitted += EmitRange(*seg, lo, hi, fn);
-      return true;
-    });
+    for (size_t i = FloorSlot(lo); i < dir_.size() && !(hi < dir_.key_at(i));
+         ++i) {
+      const SegmentData& seg = *dir_.value_at(i);
+      emitted += seg.EmitRange(seg.buffer, lo, hi, fn);
+    }
     return emitted;
   }
 
@@ -311,32 +257,48 @@ class FitingTree {
   // whole batch before resolving any probe, overlapping the page misses.
   void PrefetchLookup(const K& key) const {
     const SegmentData* seg = LocateSegment(key);
-    if (seg != nullptr) PrefetchPredicted(*seg, key);
+    if (seg != nullptr) seg->PrefetchPredicted(key);
   }
 
-  // Directory nodes plus per-segment model metadata (the key pages and
-  // buffers are the data, not the index). Charges whichever directory the
-  // read path actually descends.
+  // Directory arrays plus per-segment model metadata (the key pages and
+  // buffers are the data, not the index).
   size_t IndexSizeBytes() const {
-    const size_t dir = config_.directory == DirectoryMode::kFlat
-                           ? flat_dir_.MemoryBytes()
-                           : directory_.MemoryBytes();
-    return dir + live_segments_ * kSegmentMetaBytes;
+    return dir_.MemoryBytes() + dir_.size() * SegmentData::kMetaBytes;
   }
 
-  size_t SegmentCount() const { return live_segments_; }
-  int TreeHeight() const { return directory_.Height(); }
+  size_t SegmentCount() const { return dir_.size(); }
   const FitingTreeStats& stats() const { return stats_; }
   const FitingTreeConfig& config() const { return config_; }
+
+  // Checks the structure's invariants: the directory is strictly sorted and
+  // each entry's key is its segment's first key; every page keeps the error
+  // bound (SegmentPage::CheckErrorBound); every buffer is sorted and unique,
+  // its tombstones shadow paged keys and its live entries do not.
+  bool Validate() const {
+    for (size_t i = 0; i < dir_.size(); ++i) {
+      const SegmentData& seg = *dir_.value_at(i);
+      if (i > 0 && !(dir_.key_at(i - 1) < dir_.key_at(i))) return false;
+      if (dir_.key_at(i) != seg.first_key) return false;
+      if (!seg.CheckErrorBound(config_.error)) return false;
+      if (!BufferSortedUnique<K, V>(seg.buffer)) return false;
+      for (const BufferEntry& e : seg.buffer) {
+        const bool paged = std::binary_search(seg.keys.begin(),
+                                              seg.keys.end(), e.key);
+        if (paged != e.tombstone) return false;
+      }
+    }
+    return dir_.size() == segments_.size();
+  }
 
   // Structural snapshot (telemetry tentpole): segment shape plus pending
   // delta-buffer occupancy against the per-segment budget, and the
   // lifetime merge counters this instance has accrued.
   telemetry::StructuralStats Stats() const {
     telemetry::StructuralStats st;
-    st.engine = telemetry::EngineName(telemetry::Engine::kBuffered);
+    st.engine = telemetry::EngineName(kEngine);
+    const size_t segments = dir_.size();
     st.Add("keys", static_cast<double>(size_));
-    st.Add("segments", static_cast<double>(live_segments_));
+    st.Add("segments", static_cast<double>(segments));
     st.Add("error", config_.error);
     st.Add("buffer_capacity", static_cast<double>(effective_buffer_));
     size_t buffered = 0, max_buffer = 0;
@@ -347,10 +309,10 @@ class FitingTree {
     st.Add("buffered_entries", static_cast<double>(buffered));
     st.Add("buffer_max", static_cast<double>(max_buffer));
     st.Add("buffer_occupancy",
-           live_segments_ == 0 || effective_buffer_ == 0
+           segments == 0 || effective_buffer_ == 0
                ? 0.0
                : static_cast<double>(buffered) /
-                     (static_cast<double>(live_segments_) *
+                     (static_cast<double>(segments) *
                       static_cast<double>(effective_buffer_)));
     st.Add("merges", static_cast<double>(stats_.segment_merges));
     st.Add("segments_created", static_cast<double>(stats_.segments_created));
@@ -360,28 +322,16 @@ class FitingTree {
   }
 
  private:
-  static constexpr size_t kNotFound = static_cast<size_t>(-1);
+  static constexpr telemetry::Engine kEngine = telemetry::Engine::kBuffered;
 
   using BufferEntry = detail::BufferEntry<K, V>;
 
-  struct SegmentData {
-    K first_key{};
-    double slope = 0.0;
-    double intercept = 0.0;  // predicted index into `keys` at first_key
-    std::vector<K> keys;     // sorted page
-    std::vector<V> values;   // payloads, parallel to `keys`
+  struct SegmentData : SegmentPage<K, V> {
     std::vector<BufferEntry> buffer;  // sorted delta buffer
-
-    double Predict(const K& key) const {
-      return intercept + slope * (static_cast<double>(key) -
-                                  static_cast<double>(first_key));
-    }
   };
 
-  static constexpr size_t kSegmentMetaBytes =
-      sizeof(K) + 2 * sizeof(double) + sizeof(void*);
+  static constexpr size_t kNotFound = SegmentData::kNotFound;
 
-  using Directory = btree::BTreeMap<K, SegmentData*, kLeafSlots, kInnerSlots>;
   using FlatDir = FlatDirectory<K, SegmentData*>;
 
   void BulkLoad(std::span<const K> keys, std::span<const V> values) {
@@ -389,90 +339,39 @@ class FitingTree {
     if (keys.empty()) return;
     const auto models =
         SegmentShrinkingCone<K>(keys, config_.error, config_.feasibility);
-    std::vector<std::pair<K, SegmentData*>> entries;
-    entries.reserve(models.size());
+    std::vector<K> first_keys;
+    std::vector<SegmentData*> ptrs;
+    first_keys.reserve(models.size());
+    ptrs.reserve(models.size());
     segments_.reserve(models.size());
     for (const Segment<K>& m : models) {
-      auto data = std::make_unique<SegmentData>();
-      data->first_key = m.first_key;
-      data->slope = m.slope;
-      data->intercept = m.intercept - static_cast<double>(m.start);
-      data->keys.assign(keys.begin() + m.start,
-                        keys.begin() + m.start + m.length);
-      if (values.empty()) {
-        data->values.assign(m.length, V{});
-      } else {
-        data->values.assign(values.begin() + m.start,
-                            values.begin() + m.start + m.length);
-      }
-      entries.emplace_back(m.first_key, data.get());
-      segments_.push_back(std::move(data));
+      segments_.push_back(std::make_unique<SegmentData>());
+      segments_.back()->Assign(m, keys, values);
+      first_keys.push_back(m.first_key);
+      ptrs.push_back(segments_.back().get());
     }
-    // The flat mirror carries the same entries as the btree directory and
-    // is kept in sync by every mutation (bootstrap insert, merge splice),
-    // so the FITREE_DIRECTORY knob only selects the descent, not the state.
-    std::vector<K> flat_keys;
-    std::vector<SegmentData*> flat_ptrs;
-    flat_keys.reserve(entries.size());
-    flat_ptrs.reserve(entries.size());
-    for (const auto& [first_key, ptr] : entries) {
-      flat_keys.push_back(first_key);
-      flat_ptrs.push_back(ptr);
-    }
-    flat_dir_.BulkLoad(std::move(flat_keys), std::move(flat_ptrs));
-    directory_.BulkLoad(std::move(entries));
-    live_segments_ = segments_.size();
+    dir_.BulkLoad(std::move(first_keys), std::move(ptrs));
+  }
+
+  // Directory slot of `key`'s floor segment; keys below the leftmost
+  // segment fall to slot 0. Precondition: the directory is non-empty.
+  size_t FloorSlot(const K& key) const {
+    const size_t i = dir_.FloorIndex(key);
+    return i == FlatDir::kNone ? 0 : i;
   }
 
   const SegmentData* LocateSegment(const K& key) const {
-    telemetry::ScopedPhase phase(telemetry::Engine::kBuffered,
-                                 telemetry::Phase::kDirectoryDescent);
-    if (config_.directory == DirectoryMode::kFlat) {
-      if (flat_dir_.empty()) return nullptr;
-      const size_t i = flat_dir_.FloorIndex(key);
-      // Below-leftmost keys fall to the first segment, matching the btree
-      // path's FindFloor-else-First rule.
-      return flat_dir_.value_at(i == FlatDir::kNone ? 0 : i);
-    }
-    SegmentData* const* seg = directory_.FindFloor(key);
-    if (seg == nullptr) seg = directory_.First();
-    return seg == nullptr ? nullptr : *seg;
-  }
-
-  // Prefetch the predicted in-page position (keys and payloads) so the
-  // lines arrive while the buffer probe between descent and page search is
-  // still executing.
-  void PrefetchPredicted(const SegmentData& seg, const K& key) const {
-    const size_t n = seg.keys.size();
-    if (n == 0) return;
-    const double pred = seg.Predict(key);
-    const size_t hint =
-        pred <= 0.0 ? 0 : std::min(n - 1, static_cast<size_t>(pred));
-    PrefetchRead(seg.keys.data() + hint);
-    PrefetchRead(seg.values.data() + hint);
+    telemetry::ScopedPhase phase(kEngine, telemetry::Phase::kDirectoryDescent);
+    return dir_.empty() ? nullptr : dir_.value_at(FloorSlot(key));
   }
 
   SegmentData* LocateSegmentMutable(const K& key) {
     return const_cast<SegmentData*>(LocateSegment(key));
   }
 
-  // Error-bounded search of the segment page for an exact match, through
-  // the same ErrorWindow as the disk-resident and concurrent lookup paths.
-  // Returns the in-page index of `key`, or kNotFound.
-  size_t SearchSegment(const SegmentData& seg, const K& key) const {
-    telemetry::ScopedPhase phase(telemetry::Engine::kBuffered,
-                                 telemetry::Phase::kWindowSearch);
-    const size_t n = seg.keys.size();
-    if (n == 0) return kNotFound;
-    const double pred = seg.Predict(key);
-    // A key below the leftmost segment (floor fallback) predicts far
-    // negative; a present key always predicts a window overlapping [0, n).
-    if (pred + config_.error + 2.0 < 0.0) return kNotFound;
-    const auto [begin, end] = ErrorWindow(pred, config_.error, 0, n);
-    const size_t hint = static_cast<size_t>(std::max(0.0, pred));
-    const size_t i = detail::BoundedLowerBound(
-        seg.keys.data(), begin, end, hint, key, config_.search_policy);
-    return i < n && seg.keys[i] == key ? i : kNotFound;
+  // The kernel's error-bounded page search.
+  size_t FindInPage(const SegmentData& seg, const K& key) const {
+    return seg.Find(key, config_.error, config_.search_policy, kEngine);
   }
 
   typename std::vector<BufferEntry>::iterator BufferPos(SegmentData& seg,
@@ -482,49 +381,11 @@ class FitingTree {
   }
 
   const BufferEntry* FindBuffer(const SegmentData& seg, const K& key) const {
-    telemetry::ScopedPhase phase(telemetry::Engine::kBuffered,
-                                 telemetry::Phase::kBufferProbe);
+    telemetry::ScopedPhase phase(kEngine, telemetry::Phase::kBufferProbe);
     auto pos = std::lower_bound(seg.buffer.begin(), seg.buffer.end(), key,
                                 detail::BufferKeyLess{});
     if (pos == seg.buffer.end() || pos->key != key) return nullptr;
     return &*pos;
-  }
-
-  // Returns the number of entries emitted from this segment.
-  template <typename Fn>
-  size_t EmitRange(const SegmentData& seg, const K& lo, const K& hi,
-                   Fn& fn) const {
-    size_t emitted = 0;
-    auto k = std::lower_bound(seg.keys.begin(), seg.keys.end(), lo);
-    auto b = std::lower_bound(seg.buffer.begin(), seg.buffer.end(), lo,
-                              detail::BufferKeyLess{});
-    while (k != seg.keys.end() || b != seg.buffer.end()) {
-      const bool page_first =
-          b == seg.buffer.end() || (k != seg.keys.end() && *k < b->key);
-      if (page_first) {
-        if (*k > hi) return emitted;
-        detail::EmitEntry(fn, *k,
-                          seg.values[static_cast<size_t>(k - seg.keys.begin())]);
-        ++emitted;
-        ++k;
-        continue;
-      }
-      if (b->key > hi) return emitted;
-      if (k != seg.keys.end() && *k == b->key) {
-        // Equal keys: the buffer entry shadows the page. By the buffer
-        // invariants this is a tombstone (live entries are never paged).
-        assert(b->tombstone);
-        ++k;
-        ++b;
-        continue;
-      }
-      if (!b->tombstone) {
-        detail::EmitEntry(fn, b->key, b->value);
-        ++emitted;
-      }
-      ++b;
-    }
-    return emitted;
   }
 
   // Merges `seg`'s buffer into its page — applying pending inserts and
@@ -534,45 +395,23 @@ class FitingTree {
   void MergeSegment(SegmentData* seg) {
     // Merges are rare and long: always timed (no sampling), so the merge
     // histogram sees every event.
-    telemetry::ScopedDuration telem(telemetry::Engine::kBuffered,
-                                    telemetry::Op::kMerge);
-    telemetry::ScopedPhase phase(telemetry::Engine::kBuffered,
-                                 telemetry::Phase::kMergeResegment);
+    telemetry::ScopedDuration telem(kEngine, telemetry::Op::kMerge);
+    telemetry::ScopedPhase phase(kEngine, telemetry::Phase::kMergeResegment);
     ++stats_.segment_merges;
     std::vector<K> merged;
     std::vector<V> merged_values;
-    merged.reserve(seg->keys.size() + seg->buffer.size());
-    merged_values.reserve(merged.capacity());
-    {
-      size_t k = 0;
-      size_t b = 0;
-      while (k < seg->keys.size() || b < seg->buffer.size()) {
-        const bool page_first =
-            b == seg->buffer.size() ||
-            (k < seg->keys.size() && seg->keys[k] < seg->buffer[b].key);
-        if (page_first) {
-          merged.push_back(seg->keys[k]);
-          merged_values.push_back(seg->values[k]);
-          ++k;
-        } else if (k < seg->keys.size() && seg->keys[k] == seg->buffer[b].key) {
-          assert(seg->buffer[b].tombstone);
-          ++stats_.tombstones_cleared;
-          ++k;
-          ++b;
-        } else {
-          assert(!seg->buffer[b].tombstone);
-          merged.push_back(seg->buffer[b].key);
-          merged_values.push_back(seg->buffer[b].value);
-          ++b;
-        }
-      }
-    }
+    const size_t dropped =
+        seg->MergeBuffer(seg->buffer, &merged, &merged_values);
+    // Buffer invariants: every tombstone dropped a paged key and no live
+    // entry shadowed one.
+    assert(merged.size() + 2 * dropped ==
+           seg->keys.size() + seg->buffer.size());
+    stats_.tombstones_cleared += dropped;
 
-    // Exact-match floor: the merged segment's slot in the flat mirror,
-    // spliced below once the replacement set is known.
-    const size_t fpos = flat_dir_.FloorIndex(seg->first_key);
-    assert(fpos != FlatDir::kNone && flat_dir_.key_at(fpos) == seg->first_key);
-    directory_.Erase(seg->first_key);
+    // Exact-match floor: the merged segment's directory slot, spliced below
+    // once the replacement set is known.
+    const size_t slot = dir_.FloorIndex(seg->first_key);
+    assert(slot != FlatDir::kNone && dir_.value_at(slot) == seg);
     if (merged.empty()) {
       // Every key of this segment was deleted: retire and free it. Its key
       // range is absorbed by the floor rule (lookups fall to the left
@@ -586,8 +425,7 @@ class FitingTree {
       assert(it != segments_.end());
       std::swap(*it, segments_.back());
       segments_.pop_back();
-      flat_dir_.Splice(fpos, 1, {}, {});
-      --live_segments_;
+      dir_.Splice(slot, 1, {}, {});
       ++stats_.segments_retired;
       return;
     }
@@ -598,45 +436,32 @@ class FitingTree {
 
     // Reuse the merged segment's slot for the first replacement model and
     // append the rest.
+    seg->buffer.clear();
+    seg->buffer.shrink_to_fit();
     std::vector<K> new_keys;
     std::vector<SegmentData*> new_ptrs;
     new_keys.reserve(models.size());
     new_ptrs.reserve(models.size());
     for (size_t m = 0; m < models.size(); ++m) {
-      SegmentData* target;
-      if (m == 0) {
-        target = seg;
-      } else {
+      SegmentData* target = seg;
+      if (m > 0) {
         segments_.push_back(std::make_unique<SegmentData>());
         target = segments_.back().get();
-        ++live_segments_;
       }
-      const Segment<K>& model = models[m];
-      target->first_key = model.first_key;
-      target->slope = model.slope;
-      target->intercept = model.intercept - static_cast<double>(model.start);
-      target->keys.assign(merged.begin() + model.start,
-                          merged.begin() + model.start + model.length);
-      target->values.assign(merged_values.begin() + model.start,
-                            merged_values.begin() + model.start + model.length);
-      target->buffer.clear();
-      target->buffer.shrink_to_fit();
-      directory_.Insert(model.first_key, target);
-      new_keys.push_back(model.first_key);
+      target->Assign(models[m], merged, merged_values);
+      new_keys.push_back(models[m].first_key);
       new_ptrs.push_back(target);
     }
     // The replacement models span the same key range in order, so the
     // splice is positional; the common one-for-one case is an in-place
     // overwrite with no tail move.
-    flat_dir_.Splice(fpos, 1, new_keys, new_ptrs);
+    dir_.Splice(slot, 1, new_keys, new_ptrs);
   }
 
   FitingTreeConfig config_;
   size_t effective_buffer_ = 0;
-  std::vector<std::unique_ptr<SegmentData>> segments_;
-  Directory directory_;
-  FlatDir flat_dir_;  // read-path mirror of directory_ (see BulkLoad)
-  size_t live_segments_ = 0;
+  std::vector<std::unique_ptr<SegmentData>> segments_;  // owns every segment
+  FlatDir dir_;
   size_t size_ = 0;
   FitingTreeStats stats_;
 };

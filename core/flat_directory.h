@@ -1,15 +1,16 @@
-// Flattened two-level segment directory (ROADMAP "hot-path
-// microarchitecture pass"; DILI and FB+-tree in PAPERS.md motivate the
-// shape): instead of descending a B+-tree over segment first-keys, the
-// read path searches one contiguous sorted array — an interpolation guess
-// from a cached linear model of the key range, a geometric expansion to
-// bracket the answer, a conditional-move binary narrowing, and a final
-// SIMD count — no pointer chasing and no data-dependent branches until the
-// last few cache lines. Mutation paths keep using the engines' btree_map;
-// the flat array is rebuilt (bulk) or spliced (single-segment merges)
-// whenever the segment set changes, and is immutable between publishes,
-// which is what lets the concurrent tree's COW republish hand it to
-// lock-free readers.
+// Flat segment directory (DILI and FB+-tree in PAPERS.md motivate the
+// shape): instead of descending a B+-tree over segment first-keys, a floor
+// query searches one contiguous sorted array — an interpolation guess from
+// a cached linear model of the key range, a geometric expansion to bracket
+// the answer, a conditional-move binary narrowing, and a final SIMD count —
+// no pointer chasing and no data-dependent branches until the last few
+// cache lines. It is the only directory of the buffered, concurrent and
+// disk trees: bulk-built at load, spliced in place when a merge replaces
+// one segment (FitingTree), or rebuilt and republished whole (the
+// concurrent tree's copy-on-write snapshot, the disk tree's table
+// republish), which keeps it immutable between publishes and so safe for
+// the concurrent tree's lock-free readers. StaticFitingTree alone keeps
+// the paper's B+ tree beside it, selected by DirectoryMode.
 
 #ifndef FITREE_CORE_FLAT_DIRECTORY_H_
 #define FITREE_CORE_FLAT_DIRECTORY_H_
@@ -28,7 +29,7 @@
 namespace fitree {
 
 enum class DirectoryMode {
-  kBTree,  // descend the engines' btree_map on reads (PR 5 behavior)
+  kBTree,  // descend StaticFitingTree's B+ tree (the paper's directory)
   kFlat,   // interpolation + SIMD floor over the flat first-key array
 };
 
@@ -48,8 +49,9 @@ inline std::optional<DirectoryMode> ParseDirectoryMode(
 
 // Sorted, duplicate-free key array answering floor queries ("index of the
 // last key <= probe"). For the engines whose directory payload is the
-// segment's index in an equally-ordered table (static + disk trees), the
-// floor index IS the payload, so this keys-only form suffices.
+// segment's index in an equally-ordered table (static + disk trees, the
+// concurrent tree's snapshot), the floor index IS the payload, so this
+// keys-only form suffices.
 template <typename K>
 class FlatKeyIndex {
  public:
@@ -60,11 +62,6 @@ class FlatKeyIndex {
 
   void Reset(std::vector<K> keys) {
     keys_ = std::move(keys);
-    Recalibrate();
-  }
-
-  void Clear() {
-    keys_.clear();
     Recalibrate();
   }
 
@@ -170,11 +167,6 @@ class FlatDirectory {
   void BulkLoad(std::vector<K> keys, std::vector<V> values) {
     index_.Reset(std::move(keys));
     values_ = std::move(values);
-  }
-
-  void Clear() {
-    index_.Clear();
-    values_.clear();
   }
 
   void Splice(size_t pos, size_t erase_count, std::span<const K> keys,

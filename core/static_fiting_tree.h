@@ -1,9 +1,12 @@
 // Read-only FITing-Tree (paper Sec 4.1): a bulk-loaded array of
 // error-bounded linear segments with a B+ tree over the segment boundary
-// keys. Lookups descend the directory, evaluate the segment's line and
-// finish with a bounded search in the +/- error window. Because the data
-// stays in one flat sorted array, ranks are exact, which gives O(log)
-// RangeCount via rank subtraction (used by bench_range).
+// keys, as the paper builds it. This is the one engine that keeps the B+
+// tree directory (node width kSlots, swept by ablation_fanout); a flat
+// first-key index over the same entries is the default descent
+// (FITREE_DIRECTORY). Lookups descend the directory, evaluate the
+// segment's line and finish with a bounded search in the +/- error window.
+// Because the data stays in one flat sorted array, ranks are exact, which
+// gives O(log) RangeCount via rank subtraction (used by bench_range).
 //
 // The key set is immutable, but each key can carry a 64-bit payload
 // (values()); payloads default to the key's rank — the convention the
@@ -35,7 +38,7 @@
 
 namespace fitree {
 
-template <typename K>
+template <typename K, int kSlots = 16>
 class StaticFitingTree {
  public:
   using Key = K;
@@ -44,7 +47,7 @@ class StaticFitingTree {
   // Policy/directory defaults come from the FITREE_SEARCH_POLICY /
   // FITREE_DIRECTORY knobs (simd + flat unless overridden), so benches and
   // differential suites exercise the fast path by default.
-  static std::unique_ptr<StaticFitingTree<K>> Create(
+  static std::unique_ptr<StaticFitingTree> Create(
       const std::vector<K>& keys, double error,
       SearchPolicy policy = DefaultSearchPolicy(),
       Feasibility feasibility = Feasibility::kEndpointLine,
@@ -54,12 +57,12 @@ class StaticFitingTree {
 
   // Bulk-loads `keys` with explicit rank->payload values (empty = payload
   // is the rank itself, the serializer's default).
-  static std::unique_ptr<StaticFitingTree<K>> Create(
+  static std::unique_ptr<StaticFitingTree> Create(
       const std::vector<K>& keys, const std::vector<uint64_t>& values,
       double error, SearchPolicy policy = DefaultSearchPolicy(),
       Feasibility feasibility = Feasibility::kEndpointLine,
       DirectoryMode directory = DefaultDirectoryMode()) {
-    auto tree = std::make_unique<StaticFitingTree<K>>();
+    auto tree = std::make_unique<StaticFitingTree>();
     tree->policy_ = policy;
     tree->directory_mode_ = directory;
     tree->feasibility_ = feasibility;
@@ -291,7 +294,7 @@ class StaticFitingTree {
   std::vector<K> data_;
   std::vector<uint64_t> values_;  // empty = payload is the rank
   std::vector<Segment<K>> segments_;
-  btree::BTreeMap<K, uint32_t, 16, 16> directory_;
+  btree::BTreeMap<K, uint32_t, kSlots, kSlots> directory_;
   FlatKeyIndex<K> flat_index_;  // same entries, read-path descent form
 };
 

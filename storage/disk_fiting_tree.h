@@ -1,10 +1,11 @@
 // Disk-resident FITing-Tree: the paper's segment-predict-then-bounded-
 // search lookup (Sec 4.1) run against an index file, with every leaf
 // access going through the buffer pool, plus a write path. The directory
-// (B+ tree over segment first-keys) and segment table stay in memory —
-// they are the "index" the paper sizes in Fig 6 — while the sorted
-// key/payload pages stay on disk and are cached page-granularly, which is
-// exactly the regime the Sec 5 cost model charges in pages.
+// (a flat sorted array of segment first keys, core/flat_directory.h) and
+// the segment table stay in memory — they are the "index" the paper sizes
+// in Fig 6 — while the sorted key/payload pages stay on disk and are cached
+// page-granularly, which is exactly the regime the Sec 5 cost model charges
+// in pages.
 //
 // Leaf addressing is per segment (format v2): segment i's leaves start at
 // its own first_leaf_page, so rank r maps to page
@@ -62,7 +63,6 @@
 #include <type_traits>
 #include <vector>
 
-#include "btree/btree_map.h"
 #include "common/io_stats.h"
 #include "common/options.h"
 #include "common/prefetch.h"
@@ -108,11 +108,10 @@ class DiskFitingTree {
     // Buffer-pool capacity in pages; 1.0 * leaf pages means the whole
     // data file fits (plus the handful of non-leaf pages never cached).
     size_t cache_pages = 64;
-    // In-page bounded-search strategy and directory descent form; defaults
-    // follow the FITREE_SEARCH_POLICY / FITREE_DIRECTORY knobs (simd +
-    // flat unless overridden).
+    // In-page bounded-search strategy; defaults to the
+    // FITREE_SEARCH_POLICY knob (simd unless overridden). The directory is
+    // always the flat first-key index.
     SearchPolicy search_policy = DefaultSearchPolicy();
-    DirectoryMode directory = DefaultDirectoryMode();
     // Speculative fetch: kWindow stages the error window's non-resident
     // pages in one batched read before searching; kSingle faults only the
     // pages the walk from the predicted leaf reaches, serially
@@ -168,7 +167,6 @@ class DiskFitingTree {
   uint64_t FileBytes() const {
     return reader_.page_count() * reader_.page_bytes();
   }
-  int TreeHeight() const { return directory_.Height(); }
   const std::string& path() const { return path_; }
 
   // Pending overlay entries (live + tombstones) and completed compactions.
@@ -778,36 +776,25 @@ class DiskFitingTree {
     return true;
   }
 
-  // Rebuilds both directory descent forms from segments_ (Load and every
+  // Rebuilds the flat directory from segments_ (Load and every
   // incremental republish — the table is small, this is off the hot path).
+  // Segment ids are 0..n-1 in first-key order, so a floor index is itself
+  // the segment id.
   void RebuildDirectory() {
-    directory_ = btree::BTreeMap<K, uint32_t, 16, 16>();
-    std::vector<std::pair<K, uint32_t>> entries;
-    entries.reserve(segments_.size());
     std::vector<K> first_keys;
     first_keys.reserve(segments_.size());
-    for (size_t i = 0; i < segments_.size(); ++i) {
-      entries.emplace_back(segments_[i].seg.first_key,
-                           static_cast<uint32_t>(i));
-      first_keys.push_back(segments_[i].seg.first_key);
+    for (const SegmentRecord<K>& rec : segments_) {
+      first_keys.push_back(rec.seg.first_key);
     }
-    directory_.BulkLoad(std::move(entries));
-    // Segment ids are 0..n-1 in first-key order, so the flat floor index
-    // is itself the id. The directory only changes on Load and on
-    // republish, so the flat form can serve every descent when selected.
-    flat_index_.Reset(std::move(first_keys));
+    directory_.Reset(std::move(first_keys));
   }
 
-  // Directory floor of `key` in whichever descent form options_ selects,
-  // or kNoSlot when `key` sorts before every indexed first key.
+  // Directory floor of `key`, or kNoSlot when `key` sorts before every
+  // indexed first key.
   size_t FloorSlot(const K& key) const {
     telemetry::ScopedPhase phase(telemetry::Engine::kDisk,
                                  telemetry::Phase::kDirectoryDescent);
-    if (options_.directory == DirectoryMode::kFlat) {
-      return flat_index_.FloorIndex(key);  // FlatKeyIndex::kNone == kNoSlot
-    }
-    const uint32_t* id = directory_.FindFloor(key);
-    return id == nullptr ? kNoSlot : static_cast<size_t>(*id);
+    return directory_.FloorIndex(key);  // FlatKeyIndex::kNone == kNoSlot
   }
 
   // Segment owning base rank `rank` (starts are contiguous from 0).
@@ -1157,8 +1144,7 @@ class DiskFitingTree {
   SegmentFileReader<K> reader_;
   std::unique_ptr<BufferPool> pool_;
   std::vector<SegmentRecord<K>> segments_;
-  btree::BTreeMap<K, uint32_t, 16, 16> directory_;
-  FlatKeyIndex<K> flat_index_;  // same entries, read-path descent form
+  FlatKeyIndex<K> directory_;     // first keys, parallel to segments_
   std::vector<DeltaMap> deltas_;  // parallel to segments_ (>= 1 slot)
   std::set<K> compact_pending_;   // first keys of queued segments (dedup)
   size_t delta_entries_ = 0;      // live + tombstone entries across slots

@@ -27,7 +27,7 @@ namespace {
 // the knob gates kernel fd acquisition per-region and long-lived processes
 // (and the unit tests) flip it at runtime. Options::perf carries the same
 // knob's startup value for config reporting.
-bool PerfEnvEnabled() { return GetEnvInt64("FITREE_PERF", 1) != 0; }
+bool PerfEnvEnabled() { return ParseIntKnob("FITREE_PERF", 1) != 0; }
 
 #ifdef FITREE_PERF_SUPPORTED
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <iterator>
 #include <sstream>
 #include <string>
 
@@ -53,6 +54,40 @@ TEST(OptionsDeathTest, UnknownIoBackendExits) {
 
 TEST(OptionsDeathTest, UnknownFetchStrategyExits) {
   ExpectKnobRejected("FITREE_FETCH_STRATEGY", "windows", "single window");
+}
+
+// A numeric knob set to text that is not a whole integer stops the
+// process too, instead of running the default ("abc") or a prefix ("12abc").
+TEST(OptionsDeathTest, NonIntegerNumericKnobsExit) {
+  const char* knobs[] = {"FITREE_TELEM_SAMPLE", "FITREE_TRACE",
+                         "FITREE_TRACE_RING",   "FITREE_PERF",
+                         "FITREE_SHARDS",       "FITREE_BATCH",
+                         "FITREE_IO_DEPTH",     "FITREE_IO_DIRECT",
+                         "FITREE_COMPACT_THRESHOLD"};
+  for (size_t i = 0; i < std::size(knobs); ++i) {
+    const char* bad = i % 2 == 0 ? "abc" : "12abc";
+    EXPECT_EXIT(
+        {
+          ::setenv(knobs[i], bad, 1);
+          (void)fitree::Options::FromEnvironment();
+        },
+        ::testing::ExitedWithCode(2), std::string(knobs[i]) + "=" + bad)
+        << knobs[i];
+  }
+}
+
+TEST(Options, NumericKnobsParseAndClamp) {
+  ::setenv("FITREE_IO_DEPTH", "4096", 1);
+  ::setenv("FITREE_SHARDS", "-3", 1);
+  ::setenv("FITREE_BATCH", "8", 1);
+  const fitree::Options o = fitree::Options::FromEnvironment();
+  EXPECT_EQ(o.io_depth, 1024u);
+  EXPECT_EQ(o.shards, 1u);
+  EXPECT_EQ(o.batch, 8u);
+  for (const char* name :
+       {"FITREE_IO_DEPTH", "FITREE_SHARDS", "FITREE_BATCH"}) {
+    ::unsetenv(name);
+  }
 }
 
 TEST(Options, ValidKnobValuesParse) {

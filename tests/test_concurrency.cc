@@ -260,7 +260,10 @@ void RunStress(bool background_merge) {
 
   ASSERT_NO_FATAL_FAILURE(RunPartitionedCrud(
       *tree, threads, opt, std::move(oracles),
-      [&] { tree->QuiesceMerges(); }));
+      [&] {
+        tree->QuiesceMerges();
+        ASSERT_TRUE(tree->Validate());
+      }));
 
   // Epoch hygiene: after a quiesced drain the retire list is empty and
   // everything ever retired has been freed — no leak at shutdown.
@@ -293,6 +296,7 @@ TEST(ConcurrentCrudProperty, DifferentialVsMapOracle) {
   config.error = 32.0;
   config.buffer_size = 8;
   auto tree = ConcurrentFitingTree<int64_t>::Create(keys, values, config);
+  opt.checkpoint = [&] { ASSERT_TRUE(tree->Validate()); };
   ASSERT_NO_FATAL_FAILURE(RunCrudDifferential(*tree, oracle, opt));
   EXPECT_GT(tree->stats().segment_merges, 0u);
 }

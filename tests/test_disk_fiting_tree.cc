@@ -358,6 +358,18 @@ TEST(DiskFitingTree, ReopenIsDeterministic) {
   }
 }
 
+// The in-memory index is the flat first-key directory lookups descend plus
+// the segment table; with an empty overlay nothing else is charged.
+TEST(DiskFitingTree, IndexSizeChargesFlatDirectoryAndSegmentTable) {
+  Fixture fx(20000, 32.0, /*cache_pages=*/16, "index_size");
+  ASSERT_NE(fx.disk, nullptr);
+  ASSERT_EQ(fx.disk->DeltaEntries(), 0u);
+  EXPECT_EQ(fx.disk->IndexSizeBytes(),
+            fx.disk->SegmentCount() *
+                (sizeof(int64_t) +
+                 sizeof(fitree::storage::SegmentRecord<int64_t>)));
+}
+
 // ---- Write path: delta overlay + Compact ----
 
 // Serializes `keys`/`values` and opens the result as a writable tree.

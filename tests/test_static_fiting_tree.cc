@@ -69,6 +69,31 @@ TEST(StaticFitingTree, DirectoryModesAgree) {
   }
 }
 
+// The B+ tree directory's node width is a template parameter (swept by
+// ablation_fanout): any width indexes the same segments and answers the
+// same lookups, and a narrower tree is never shallower.
+TEST(StaticFitingTree, TemplateFanoutsWork) {
+  const auto keys = fitree::datasets::Weblogs(20000, 19);
+  auto narrow = StaticFitingTree<int64_t, 8>::Create(
+      keys, 32.0, SearchPolicy::kSimd, fitree::Feasibility::kEndpointLine,
+      fitree::DirectoryMode::kBTree);
+  auto wide = StaticFitingTree<int64_t, 128>::Create(
+      keys, 32.0, SearchPolicy::kSimd, fitree::Feasibility::kEndpointLine,
+      fitree::DirectoryMode::kBTree);
+  EXPECT_EQ(narrow->SegmentCount(), wide->SegmentCount());
+  EXPECT_GE(narrow->TreeHeight(), wide->TreeHeight());
+  const auto probes = fitree::workloads::MakeLookupProbes<int64_t>(
+      keys, 3000, fitree::workloads::Access::kUniform, 0.4, 23);
+  for (const int64_t probe : probes) {
+    ASSERT_EQ(narrow->Lookup(probe), wide->Lookup(probe)) << probe;
+    ASSERT_EQ(narrow->LowerBound(probe), wide->LowerBound(probe)) << probe;
+  }
+  for (size_t i = 0; i < keys.size(); i += 97) {
+    ASSERT_EQ(narrow->Lookup(keys[i]), std::optional<uint64_t>(i));
+    ASSERT_EQ(wide->Lookup(keys[i]), std::optional<uint64_t>(i));
+  }
+}
+
 TEST(StaticFitingTree, LookupAcrossDatasetsAndErrors) {
   for (const auto& keys :
        {fitree::datasets::Iot(20000, 2), fitree::datasets::Maps(20000, 3),
